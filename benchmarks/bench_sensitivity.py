@@ -24,7 +24,7 @@ from conftest import emit
 
 from repro.metrics.report import format_table
 from repro.models.costs import CostModel
-from repro.models.profiler import Profiler
+from repro.models.profiler import ModelProfile
 from repro.models.transformer import build_transformer
 from repro.models.zoo import OPT_66B
 from repro.partitioning.ladder import GranularityLadder
@@ -35,7 +35,9 @@ CVS = (0.1, 0.5, 1.0, 2.0, 4.0, 8.0)
 
 
 def make_ladder():
-    profile = Profiler(CostModel()).profile(OPT_66B, build_transformer(OPT_66B))
+    profile = ModelProfile(
+        spec=OPT_66B, graph=build_transformer(OPT_66B), cost_model=CostModel()
+    )
     return profile, GranularityLadder(profile, stage_counts=(2, 4, 8, 16, 32))
 
 

@@ -42,7 +42,9 @@ class ModelProfile:
     partitioner's Eq. 2 DP probes the same operator ranges repeatedly, and
     batch formation re-reads the same stage aggregates on every batch.
     Profiles are immutable once built (graph and cost model never change),
-    so the caches are never invalidated.
+    so the caches are never invalidated.  Both memos depend only on the
+    graph, the cost config and ``spec.kv_bytes_per_request``, so tenants
+    of one architecture share them (see ``repro.core.context``).
     """
 
     spec: ModelSpec
@@ -99,19 +101,3 @@ class ModelProfile:
             cached = self.cost_model.max_batch(stage.param_bytes, kv_per_request)
             self._max_batch_cache[key] = cached
         return cached
-
-
-class Profiler:
-    """Builds :class:`ModelProfile` objects (cache by model name)."""
-
-    def __init__(self, cost_model: CostModel | None = None):
-        self.cost_model = cost_model or CostModel()
-        self._cache: dict[str, ModelProfile] = {}
-
-    def profile(self, spec: ModelSpec, graph: ComputationGraph) -> ModelProfile:
-        cached = self._cache.get(spec.name)
-        if cached is not None and cached.graph is graph:
-            return cached
-        profile = ModelProfile(spec=spec, graph=graph, cost_model=self.cost_model)
-        self._cache[spec.name] = profile
-        return profile

@@ -118,7 +118,8 @@ def _synthesize_fleet_model(name: str) -> ModelSpec | None:
     if size_gb <= 0:
         raise KeyError(f"fleet model {name!r} declares a non-positive size")
     # Depth grows slowly with size and stays small: the granularity-ladder
-    # DP is O(layers^2)-ish per rung, and 100+ tenants each build one.
+    # DP is O(layers^2)-ish per rung.  Tenants of one size share one
+    # architecture, so they share one ladder (see ``repro.core.context``).
     n_layers = min(8 + int(size_gb // 6) * 2, 28)
     return ModelSpec(
         name=name,

@@ -10,8 +10,9 @@ requires, and split stages load only the complement.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.models.profiler import ModelProfile
 from repro.partitioning.partitioner import Partitioner, PartitionerConfig
@@ -78,6 +79,23 @@ class GranularityLadder:
 
     def plan(self, n_stages: int) -> PartitionPlan:
         return self.rung(n_stages).plan
+
+    def rebind(self, profile: ModelProfile) -> "GranularityLadder":
+        """This ladder for another tenant of the same architecture.
+
+        The rungs depend only on the architecture and the cost model, so
+        the copy keeps them and renames every plan to
+        ``profile.spec.name``.
+        """
+        name = profile.spec.name
+        ladder = copy.copy(self)
+        ladder.profile = profile
+        ladder._rungs = {
+            count: replace(rung, plan=replace(rung.plan, model_name=name))
+            for count, rung in self._rungs.items()
+        }
+        ladder.fine_plan = ladder._rungs[ladder.finest].plan
+        return ladder
 
     # ------------------------------------------------------------------
     def _feasible_counts(self, counts, partitioner) -> list[int]:

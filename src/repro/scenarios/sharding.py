@@ -575,4 +575,5 @@ def _merge_aggregate(
         ),
         mean_init_time=float(np.mean(init_times)) if init_times else 0.0,
         mean_alloc_wait=float(np.mean(wait_times)) if wait_times else 0.0,
+        p99_ttft=float(np.percentile(prefill, 99)) if prefill.size else 0.0,
     )

@@ -17,7 +17,7 @@ from repro.core.context import ServingContext
 from repro.core.flexpipe import FlexPipeSystem
 from repro.models.calibration import TABLE2_ROWS, fit_cost_model
 from repro.models.costs import CostModel
-from repro.models.profiler import Profiler
+from repro.models.profiler import ModelProfile
 from repro.models.transformer import build_transformer
 from repro.models.zoo import LLAMA2_7B, OPT_66B
 from repro.partitioning.ladder import GranularityLadder
@@ -140,8 +140,10 @@ class TestCalibrationDrivesCostModel:
 
     def test_fitted_model_profiles_a_real_graph(self):
         report = fit_cost_model(list(TABLE2_ROWS))
-        profile = Profiler(CostModel(report.config)).profile(
-            OPT_66B, build_transformer(OPT_66B)
+        profile = ModelProfile(
+            spec=OPT_66B,
+            graph=build_transformer(OPT_66B),
+            cost_model=CostModel(report.config),
         )
         ladder = GranularityLadder(profile, stage_counts=(4, 8))
         assert ladder.plan(8).n_stages == 8

@@ -15,6 +15,7 @@ import json
 import numpy as np
 import pytest
 
+import repro.scenarios.sharding as sharding
 from repro.scenarios.driver import ScenarioCase, run_scenario_case
 from repro.scenarios.library import SCENARIOS
 from repro.scenarios.sharding import (
@@ -233,6 +234,32 @@ def test_merged_report_sanity():
     assert agg.mean_latency > 0
     assert agg.latency_percentiles[99] >= agg.latency_percentiles[50]
     assert report.events  # the reclaim events fired somewhere
+
+
+def test_merged_p99_ttft_is_the_percentile_over_all_shards(monkeypatch):
+    """The merged TTFT tail is taken over the concatenated shard prefill
+    latencies, like the monolithic summary, at every worker count."""
+    merge = sharding.merge_shard_reports
+    merged_slices = []
+
+    def keep_slices(case, plan, slices):
+        merged_slices.append(slices)
+        return merge(case, plan, slices)
+
+    monkeypatch.setattr(sharding, "merge_shard_reports", keep_slices)
+    spec = SCENARIOS["azure-replay-2019"].quick()
+    blobs = {}
+    for workers in (1, 2, 4):
+        report = run_scenario_case(ScenarioCase(spec, "FlexPipe", 0, workers))
+        blobs[workers] = canonical(report)
+        prefill = [
+            v
+            for piece in sorted(merged_slices.pop(), key=lambda s: s.index)
+            for v in piece.prefill_latencies
+        ]
+        assert report.aggregate.p99_ttft > 0.0
+        assert report.aggregate.p99_ttft == float(np.percentile(prefill, 99))
+    assert blobs[1] == blobs[2] == blobs[4]
 
 
 def test_fallback_case_still_runs_and_reports():
