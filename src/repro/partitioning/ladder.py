@@ -11,8 +11,10 @@ requires, and split stages load only the complement.
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass, replace
+from itertools import accumulate
+
+import numpy as np
 
 from repro.models.profiler import ModelProfile
 from repro.partitioning.partitioner import Partitioner, PartitionerConfig
@@ -131,51 +133,46 @@ class GranularityLadder:
             groups = tuple((i, i + 1) for i in range(n_fine))
             return LadderRung(n_stages, self.fine_plan, groups)
 
-        weights = [
-            self.profile.stage_compute_time(s.profile, 1) for s in fine
-        ]
-        prefix = [0.0]
-        for w in weights:
-            prefix.append(prefix[-1] + w)
-        bytes_prefix = [0.0]
-        for s in fine:
-            bytes_prefix.append(bytes_prefix[-1] + s.param_bytes)
+        prefix = np.array(list(accumulate(
+            (self.profile.stage_compute_time(s.profile, 1) for s in fine),
+            initial=0.0,
+        )))
+        bytes_prefix = np.array(list(accumulate(
+            (s.param_bytes for s in fine), initial=0.0
+        )))
         gpu_memory = self.profile.cost_model.config.gpu_memory
+        # costs[i, j]: merging fine stages [i, j) into one coarse stage.
+        index = np.arange(n_fine + 1)
+        costs = prefix[None, :] - prefix[:, None]
+        costs[
+            (bytes_prefix[None, :] - bytes_prefix[:, None] > gpu_memory)
+            | (index[:, None] >= index[None, :])
+        ] = np.inf
 
-        infinity = math.inf
-
-        def group_cost(i: int, j: int) -> float:
-            """Cost of merging fine stages [i, j) into one coarse stage."""
-            if bytes_prefix[j] - bytes_prefix[i] > gpu_memory:
-                return infinity
-            return prefix[j] - prefix[i]
-
-        # dp[k][j]: min bottleneck for first k groups covering fine[0:j].
-        dp = [[infinity] * (n_fine + 1) for _ in range(n_stages + 1)]
-        arg = [[-1] * (n_fine + 1) for _ in range(n_stages + 1)]
-        dp[0][0] = 0.0
-        for k in range(1, n_stages + 1):
-            for j in range(k, n_fine + 1):
-                for i in range(k - 1, j):
-                    if math.isinf(dp[k - 1][i]):
-                        continue
-                    cand = max(dp[k - 1][i], group_cost(i, j))
-                    if cand < dp[k][j]:
-                        dp[k][j] = cand
-                        arg[k][j] = i
-        if math.isinf(dp[n_stages][n_fine]):
+        # best[j]: min bottleneck of k groups covering fine[0:j], one
+        # min-max step per group (argmin keeps the first row on ties).
+        best = np.full(n_fine + 1, np.inf)
+        best[0] = 0.0
+        choice = []
+        for _ in range(n_stages):
+            cand = np.maximum(best[:, None], costs)
+            arg = cand.argmin(axis=0)
+            best = cand[arg, index]
+            arg[np.isinf(best)] = -1
+            choice.append(arg)
+        if np.isinf(best[n_fine]):
             raise ValueError(
                 f"{self.profile.spec.name}: no feasible {n_stages}-stage grouping"
             )
         # Back-track group boundaries in fine-stage space.
         bounds = [n_fine]
         j = n_fine
-        for k in range(n_stages, 0, -1):
-            j = arg[k][j]
+        for arg in reversed(choice):
+            j = int(arg[j])
             bounds.append(j)
         bounds.reverse()  # [0, ..., n_fine]
         groups = tuple((bounds[i], bounds[i + 1]) for i in range(n_stages))
         # Convert fine-stage groups to operator boundaries for the plan.
         op_boundaries = [fine[hi - 1].end for (_, hi) in groups]
-        plan = build_plan(self.profile, op_boundaries, dp[n_stages][n_fine])
+        plan = build_plan(self.profile, op_boundaries, float(best[n_fine]))
         return LadderRung(n_stages, plan, groups)

@@ -11,12 +11,26 @@ potential of the stage's trailing boundary (1.0 at layer boundaries).  The
 DP minimises the *bottleneck* stage cost (pipeline throughput is set by the
 slowest stage) with total cost as tie-breaker, subject to the hard memory
 constraint ``s_p(S_k) <= M_GPU``.
+
+The DP runs in matrix form.  One stage-cost matrix ``C[i, j]`` holds the
+cost of every candidate stage, from the graph's parameter prefix sums:
+row 0 starts at operator 0, row ``i + 1`` at the ``i``-th candidate end,
+and column ``j`` ends at the ``j``-th.  Stages over the memory cap, and
+empty or reversed ones, cost ``inf``.  Each extra stage is then one numpy
+min-max step over all (previous end, new end) pairs at once: the
+candidates are ``(max(bottleneck_i, C[i, j]), total_i + C[i, j])``, the
+lexicographic minimum per column wins, and among equal candidates the
+first row does.  No :class:`StageProfile` is built until the chosen plan
+is.  The scalar per-stage cost and the triple-loop DP it replaces live on
+as oracles in ``tests/test_model_artifacts.py``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from repro.models.profiler import ModelProfile
 from repro.partitioning.plan import PartitionPlan, build_plan
@@ -37,9 +51,6 @@ class PartitionerConfig:
     min_boundary_quality: float = 0.5
 
 
-_UNSET = object()  # a stage cost not yet evaluated (None means infeasible)
-
-
 class InfeasiblePartition(ValueError):
     """No K-stage partition satisfies the constraints."""
 
@@ -51,108 +62,100 @@ class Partitioner:
         self.profile = profile
         self.config = config or PartitionerConfig()
         self.graph = profile.graph
-        # Legal stage boundaries: operator index i means "cut after op i".
-        self._cuts = [
-            i
+        # Candidate stage ends (exclusive): a legal cut "after op i" ends a
+        # stage at i + 1; the last stage always ends at the last operator.
+        self._ends = [
+            i + 1
             for i in self.graph.cut_points()
             if self.graph.boundary_quality(i) >= self.config.min_boundary_quality
-        ]
+        ] + [len(self.graph)]
 
     @property
     def n_positions(self) -> int:
         """Candidate stage-end positions under the boundary-quality filter
         (the maximum stage count any plan of this profile can have)."""
-        return len(self._cuts) + 1
+        return len(self._ends)
 
     # ------------------------------------------------------------------
     def plan(self, n_stages: int) -> PartitionPlan:
         """Optimal ``n_stages``-stage plan (Eq. 2)."""
         if n_stages < 1:
             raise ValueError(f"n_stages must be >= 1, got {n_stages}")
-        n_ops = len(self.graph)
+        name = self.profile.spec.name
+        costs = self._stage_costs
         if n_stages == 1:
-            cost = self._stage_cost(0, n_ops)
-            if cost is None:
-                raise InfeasiblePartition(
-                    f"{self.profile.spec.name} does not fit on a single GPU"
-                )
-            return build_plan(self.profile, [n_ops], cost)
+            cost = costs[0, -1]
+            if np.isinf(cost):
+                raise InfeasiblePartition(f"{name} does not fit on a single GPU")
+            return build_plan(self.profile, self._ends[-1:], float(cost))
 
-        # Candidate stage end positions (exclusive): cut "after op i" => end i+1.
-        ends = [i + 1 for i in self._cuts] + [n_ops]
-        n_pos = len(ends)
+        n_pos = len(self._ends)
         if n_stages > n_pos:
             raise InfeasiblePartition(
-                f"{self.profile.spec.name}: cannot make {n_stages} stages from "
-                f"{n_pos} legal boundaries"
+                f"{name}: cannot make {n_stages} stages from {n_pos} legal boundaries"
             )
-
-        infinity = math.inf
-        # dp[k][j]: (bottleneck, total) for first k stages ending at ends[j].
-        prev = [self._pair(self._stage_cost(0, ends[j])) for j in range(n_pos)]
-        # costs[j][i]: cost of the stage [ends[i], ends[j]).  Every k
-        # revisits the same (i, j) pairs, so each is evaluated once.
-        costs: list[dict[int, float | None]] = [{} for _ in range(n_pos)]
-        choice: list[list[int]] = []
-        for k in range(1, n_stages):
-            cur = [(infinity, infinity)] * n_pos
-            arg = [-1] * n_pos
-            for j in range(k, n_pos):
-                end = ends[j]
-                column = costs[j]
-                best = (infinity, infinity)
-                best_i = -1
-                for i in range(k - 1, j):
-                    base = prev[i]
-                    if math.isinf(base[0]):
-                        continue
-                    cost = column.get(i, _UNSET)
-                    if cost is _UNSET:
-                        cost = column[i] = self._stage_cost(ends[i], end)
-                    if cost is None:
-                        continue
-                    cand = (max(base[0], cost), base[1] + cost)
-                    if cand < best:
-                        best = cand
-                        best_i = i
-                cur[j] = best
-                arg[j] = best_i
-            prev = cur
+        columns = np.arange(n_pos)
+        # (bottleneck[j], total[j]): the best plan so far ending at ends[j].
+        bottleneck = total = costs[0]
+        following = costs[1:]  # following[i, j]: the stage [ends[i], ends[j])
+        choice = []
+        for _ in range(1, n_stages):
+            cand_bottleneck = np.maximum(bottleneck[:, None], following)
+            cand_total = total[:, None] + following
+            bottleneck = cand_bottleneck.min(axis=0)
+            # Least total among the least bottlenecks; argmin keeps the
+            # first row on exact ties.
+            arg = np.where(
+                cand_bottleneck == bottleneck, cand_total, np.inf
+            ).argmin(axis=0)
+            total = cand_total[arg, columns]
+            unreachable = np.isinf(bottleneck)
+            total[unreachable] = np.inf
+            arg[unreachable] = -1
             choice.append(arg)
 
-        final = prev[n_pos - 1]
-        if math.isinf(final[0]):
+        if np.isinf(bottleneck[-1]):
             raise InfeasiblePartition(
-                f"{self.profile.spec.name}: no feasible {n_stages}-stage plan "
-                f"under the memory constraint"
+                f"{name}: no feasible {n_stages}-stage plan under the memory constraint"
             )
         # Back-track boundaries.
-        boundaries = [ends[n_pos - 1]]
         j = n_pos - 1
-        for k in range(n_stages - 1, 0, -1):
-            j = choice[k - 1][j]
-            boundaries.append(ends[j])
+        boundaries = [self._ends[j]]
+        for arg in reversed(choice):
+            j = arg[j]
+            boundaries.append(self._ends[j])
         boundaries.reverse()
-        return build_plan(self.profile, boundaries, final[1])
+        return build_plan(self.profile, boundaries, float(total[-1]))
 
     # ------------------------------------------------------------------
-    def _pair(self, cost: float | None) -> tuple[float, float]:
-        if cost is None:
-            return (math.inf, math.inf)
-        return (cost, cost)
+    @cached_property
+    def _stage_costs(self) -> np.ndarray:
+        """Eq. 2 cost of every candidate stage, ``inf`` where infeasible.
 
-    def _stage_cost(self, start: int, end: int) -> float | None:
-        """Eq. 2 stage cost, or None if the stage violates the memory cap."""
+        Row 0 starts at operator 0 and row ``i + 1`` at ``ends[i]``;
+        column ``j`` ends at ``ends[j]``.
+        """
         cfg = self.config
-        stage = self.profile.stage(start, end)
+        cost_model = self.profile.cost_model
+        n_ops = len(self.graph)
+        ends = np.array(self._ends)
+        starts = np.concatenate(([0], ends))
+        prefix = np.array(self.graph._param_prefix)
+        param_bytes = prefix[ends][None, :] - prefix[starts][:, None]
+        quality = np.array([
+            self.graph.boundary_quality(end - 1) if end < n_ops else 1.0
+            for end in self._ends
+        ])
+        t_c = cost_model.decode_iter_time(param_bytes, cfg.reference_batch)
+        reload_penalty = np.maximum(
+            param_bytes / cfg.bandwidth - cfg.overlap_budget, 0.0
+        )
+        boundary_penalty = cfg.boundary_weight * (1.0 - quality)
+        costs = t_c + reload_penalty + boundary_penalty
         gpu_memory = (
             cfg.gpu_memory
             if cfg.gpu_memory is not None
-            else self.profile.cost_model.config.gpu_memory
+            else cost_model.config.gpu_memory
         )
-        if stage.param_bytes > gpu_memory:
-            return None
-        t_c = self.profile.stage_compute_time(stage, cfg.reference_batch)
-        reload_penalty = max(stage.param_bytes / cfg.bandwidth - cfg.overlap_budget, 0.0)
-        boundary_penalty = cfg.boundary_weight * (1.0 - stage.boundary_quality)
-        return t_c + reload_penalty + boundary_penalty
+        costs[(param_bytes > gpu_memory) | (starts[:, None] >= ends[None, :])] = np.inf
+        return costs

@@ -145,8 +145,12 @@ class FairShareLink:
             return
         bandwidth = self.spec.bandwidth
         share = bandwidth / n
-        capped = [h for h in self._active if h.max_rate is not None and h.max_rate < share]
-        uncapped = [h for h in self._active if h not in capped]
+        capped, uncapped = [], []
+        for h in self._active:
+            if h.max_rate is not None and h.max_rate < share:
+                capped.append(h)
+            else:
+                uncapped.append(h)
         used = 0.0
         for handle in capped:
             handle.rate = handle.max_rate

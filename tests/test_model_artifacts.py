@@ -2,14 +2,16 @@
 
 Tenants whose specs differ only in their name ("twins") share one graph,
 one set of profile memos and one ladder DP (``repro.core.context``).
-These tests hold the memoized partitioner to an un-memoized oracle, the
-shared ladders to freshly built ones, and fleet start-up to exact build
-counts.
+These tests hold the matrix-form partitioner and ladder DPs to scalar
+oracles, the shared ladders to freshly built ones, fleet start-up to
+exact build counts, and the DPs' stage memos to the plans they return.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import random
 from collections import Counter
 from dataclasses import replace
 
@@ -17,7 +19,7 @@ import pytest
 
 import repro.core.context as context
 from repro.core.context import get_graph, get_ladder, get_profile
-from repro.models.costs import CostModel
+from repro.models.costs import CostModel, CostModelConfig
 from repro.models.profiler import ModelProfile
 from repro.models.transformer import build_transformer
 from repro.models.zoo import LLAMA2_7B, MODEL_ZOO, OPT_66B, get_model
@@ -64,22 +66,43 @@ def counting(counts: Counter, key: str, fn):
 
 
 # ----------------------------------------------------------------------
-# (a) The memoized Eq. 2 DP against an un-memoized oracle
+# (a) The matrix-form Eq. 2 DP against the scalar oracle
 # ----------------------------------------------------------------------
-def oracle_plan(partitioner: Partitioner, n_stages: int):
-    """Eq. 2 min-max DP re-evaluating every stage cost for every k.
+def scalar_stage_cost(partitioner: Partitioner, start: int, end: int):
+    """Eq. 2 cost of the stage [start, end), or None over the memory cap."""
+    cfg = partitioner.config
+    profile = partitioner.profile
+    stage = profile.stage(start, end)
+    gpu_memory = (
+        cfg.gpu_memory
+        if cfg.gpu_memory is not None
+        else profile.cost_model.config.gpu_memory
+    )
+    if stage.param_bytes > gpu_memory:
+        return None
+    t_c = profile.stage_compute_time(stage, cfg.reference_batch)
+    reload_penalty = max(stage.param_bytes / cfg.bandwidth - cfg.overlap_budget, 0.0)
+    boundary_penalty = cfg.boundary_weight * (1.0 - stage.boundary_quality)
+    return t_c + reload_penalty + boundary_penalty
+
+
+def oracle_plan(partitioner: Partitioner, n_stages: int, stats: Counter | None = None):
+    """Eq. 2 min-max DP as scalar loops over (bottleneck, total) tuples,
+    re-evaluating every stage cost for every k.
 
     Returns (stage end boundaries, objective) or raises
-    :class:`InfeasiblePartition`.
+    :class:`InfeasiblePartition`.  ``stats["ties"]`` counts candidates
+    equal to the best one found before them (the first one wins).
     """
-    cost = partitioner._stage_cost
+    cost = functools.partial(scalar_stage_cost, partitioner)
+    stats = Counter() if stats is None else stats
+    ends = partitioner._ends
     n_ops = len(partitioner.graph)
     if n_stages == 1:
         single = cost(0, n_ops)
         if single is None:
             raise InfeasiblePartition("single stage over the memory cap")
         return [n_ops], single
-    ends = [i + 1 for i in partitioner._cuts] + [n_ops]
     n_pos = len(ends)
     if n_stages > n_pos:
         raise InfeasiblePartition("more stages than legal boundaries")
@@ -103,6 +126,8 @@ def oracle_plan(partitioner: Partitioner, n_stages: int):
                 if cand < cur[j]:
                     cur[j] = cand
                     arg[j] = i
+                elif cand == cur[j]:
+                    stats["ties"] += 1
         prev = cur
         choice.append(arg)
     if math.isinf(prev[-1][0]):
@@ -115,21 +140,142 @@ def oracle_plan(partitioner: Partitioner, n_stages: int):
     return boundaries[::-1], prev[-1][1]
 
 
-@pytest.mark.parametrize("name", MODELS)
-def test_memoized_dp_matches_the_unmemoized_oracle(name, cost_model):
-    partitioner = Partitioner(fresh_profile(get_model(name), cost_model))
-    feasible = 0
-    for n_stages in STAGE_COUNTS:
+def compare_with_oracle(partitioner: Partitioner, counts, stats: Counter) -> None:
+    """Each count's plan equals the oracle's exactly, or both raise."""
+    for n_stages in counts:
         try:
-            expected = oracle_plan(partitioner, n_stages)
+            expected = oracle_plan(partitioner, n_stages, stats)
         except InfeasiblePartition:
             with pytest.raises(InfeasiblePartition):
                 partitioner.plan(n_stages)
+            stats["infeasible"] += 1
             continue
         plan = partitioner.plan(n_stages)
         assert ([s.end for s in plan.stages], plan.objective) == expected
-        feasible += 1
-    assert feasible >= 2
+        stats["feasible"] += 1
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_memoized_dp_matches_the_unmemoized_oracle(name, cost_model):
+    stats = Counter()
+    partitioner = Partitioner(fresh_profile(get_model(name), cost_model))
+    compare_with_oracle(partitioner, STAGE_COUNTS, stats)
+    assert stats["feasible"] >= 2
+
+
+SEEDED_MODELS = ("LLAMA2-7B",) + tuple(f"FLEET-0-{size}g" for size in FLEET_SIZES)
+
+
+@pytest.mark.parametrize("boundary_weight", [0.0, 5e-3])
+@pytest.mark.parametrize("min_boundary_quality", [0.0, 0.5])
+def test_matrix_dp_matches_the_oracle_on_stressed_configs(
+    boundary_weight, min_boundary_quality, cost_model
+):
+    """Tight memory makes some stages (and some whole plans) infeasible;
+    a zero boundary weight and mid-block cuts make exact ties."""
+    rng = random.Random(f"{boundary_weight}-{min_boundary_quality}")
+    stats = Counter()
+    for _ in range(4):
+        spec = get_model(rng.choice(SEEDED_MODELS))
+        profile = fresh_profile(spec, cost_model)
+        total = profile.graph.total_param_bytes
+        config = PartitionerConfig(
+            gpu_memory=total * rng.uniform(0.08, 0.4),
+            boundary_weight=boundary_weight,
+            min_boundary_quality=min_boundary_quality,
+        )
+        partitioner = Partitioner(profile, config)
+        counts = sorted(rng.sample(range(1, min(partitioner.n_positions, 24) + 1), 6))
+        compare_with_oracle(partitioner, counts + [2, 4, 8], stats)
+    assert stats["infeasible"] >= 1 and stats["feasible"] >= 4
+    if boundary_weight == 0.0:
+        assert stats["ties"] > 0
+
+
+# ----------------------------------------------------------------------
+# (a2) The matrix-form ladder grouping against the scalar oracle
+# ----------------------------------------------------------------------
+def oracle_grouping(ladder: GranularityLadder, n_stages: int):
+    """Min-max grouping of the fine stages as scalar loops.
+
+    Returns (groups, objective) or raises ``ValueError``.
+    """
+    fine = ladder.fine_plan.stages
+    n_fine = len(fine)
+    if n_stages == n_fine:
+        return tuple((i, i + 1) for i in range(n_fine)), ladder.fine_plan.objective
+    profile = ladder.profile
+    prefix = [0.0]
+    bytes_prefix = [0.0]
+    for s in fine:
+        prefix.append(prefix[-1] + profile.stage_compute_time(s.profile, 1))
+        bytes_prefix.append(bytes_prefix[-1] + s.param_bytes)
+    gpu_memory = profile.cost_model.config.gpu_memory
+
+    def group_cost(i: int, j: int) -> float:
+        if bytes_prefix[j] - bytes_prefix[i] > gpu_memory:
+            return math.inf
+        return prefix[j] - prefix[i]
+
+    dp = [[math.inf] * (n_fine + 1) for _ in range(n_stages + 1)]
+    arg = [[-1] * (n_fine + 1) for _ in range(n_stages + 1)]
+    dp[0][0] = 0.0
+    for k in range(1, n_stages + 1):
+        for j in range(k, n_fine + 1):
+            for i in range(k - 1, j):
+                if math.isinf(dp[k - 1][i]):
+                    continue
+                cand = max(dp[k - 1][i], group_cost(i, j))
+                if cand < dp[k][j]:
+                    dp[k][j] = cand
+                    arg[k][j] = i
+    if math.isinf(dp[n_stages][n_fine]):
+        raise ValueError("no feasible grouping")
+    bounds = [n_fine]
+    j = n_fine
+    for k in range(n_stages, 0, -1):
+        j = arg[k][j]
+        bounds.append(j)
+    bounds.reverse()
+    groups = tuple(zip(bounds[:-1], bounds[1:]))
+    return groups, dp[n_stages][n_fine]
+
+
+def compare_groupings(ladder: GranularityLadder, counts) -> Counter:
+    stats = Counter()
+    for count in counts:
+        try:
+            expected = oracle_grouping(ladder, count)
+        except ValueError:
+            with pytest.raises(ValueError):
+                ladder._group_rung(count)
+            stats["infeasible"] += 1
+            continue
+        rung = ladder._group_rung(count)
+        assert (rung.groups, rung.plan.objective) == expected
+        fine = ladder.fine_plan.stages
+        assert rung.plan.cuts == tuple(fine[hi - 1].end for _, hi in rung.groups[:-1])
+        stats["feasible"] += 1
+    return stats
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_ladder_rungs_match_the_grouping_oracle(name, cost_model):
+    ladder = GranularityLadder(fresh_profile(get_model(name), cost_model))
+    stats = compare_groupings(ladder, ladder.stage_counts)
+    assert stats["feasible"] == len(ladder.stage_counts) >= 2
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ladder_grouping_matches_the_oracle_under_tight_memory(seed):
+    """Coarse groups over a small GPU cross the memory cap."""
+    rng = random.Random(seed)
+    spec = get_model(rng.choice(MODELS))
+    total = get_graph(spec).total_param_bytes
+    tight = CostModel(CostModelConfig(gpu_memory=total * rng.uniform(0.1, 0.4)))
+    ladder = GranularityLadder(fresh_profile(spec, tight), stage_counts=(16,))
+    stats = compare_groupings(ladder, range(1, 17))
+    assert stats["infeasible"] >= 1 and stats["feasible"] >= 2
 
 
 # ----------------------------------------------------------------------
@@ -264,3 +410,33 @@ def test_fleet_start_builds_each_architecture_once(
     assert len(spec.models) > 100
     assert 1 <= counts["graphs"] <= max_graphs
     assert 1 <= counts["plans"] <= max_plans
+
+
+# ----------------------------------------------------------------------
+# (e) The DPs profile only the stages of the plans they return
+# ----------------------------------------------------------------------
+RUNG_COUNTS = (2, 4, 8, 16, 32)
+
+
+@pytest.mark.parametrize("name", tuple(MODEL_ZOO))
+def test_ladder_profiles_only_the_stages_its_rungs_hold(name, cost_model, fresh_caches):
+    ladder = get_ladder(get_model(name), cost_model, RUNG_COUNTS)
+    assert tuple(ladder.stage_counts) == RUNG_COUNTS
+    held = {
+        (s.start, s.end) for count in RUNG_COUNTS for s in ladder.plan(count).stages
+    }
+    assert set(ladder.profile._stage_cache) == held
+    assert len(ladder.profile._stage_cache) <= sum(RUNG_COUNTS) == 62
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_plan_profiles_only_its_own_stages(name, cost_model):
+    graph = get_graph(get_model(name))
+    for n_stages in STAGE_COUNTS + (10_000,):
+        profile = ModelProfile(spec=get_model(name), graph=graph, cost_model=cost_model)
+        try:
+            plan = Partitioner(profile).plan(n_stages)
+        except InfeasiblePartition:
+            assert profile._stage_cache == {}
+            continue
+        assert set(profile._stage_cache) == {(s.start, s.end) for s in plan.stages}
