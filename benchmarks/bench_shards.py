@@ -3,7 +3,10 @@
 Runs one multi-model fleet scenario (four tenants on the paper cluster)
 through the shard partitioner at ``--shards 1/2/4``, asserts the three
 reports are byte-identical (the shard-count-invariance contract), and
-records events/sec per worker count in ``BENCH_perf.json``.
+records events/sec per worker count in ``BENCH_perf.json``.  A second,
+untimed leg reruns the fleet traced at ``--shards 1/2/4`` and asserts
+the traced reports (span trees, flight-recorder events, replica names)
+are byte-identical too.
 
 Usage::
 
@@ -120,6 +123,16 @@ def measure(duration: float, repeats: int) -> tuple[dict, bool]:
         )
 
     identical = len(set(blobs.values())) == 1
+    traced = {
+        canonical(
+            run_scenario_case(
+                ScenarioCase(spec, "FlexPipe", 0, workers, trace=True)
+            )
+        )
+        for workers in WORKER_COUNTS
+    }
+    print(f"traced --shards 1/2/4: {len(traced)} distinct report(s)")
+    identical = identical and len(traced) == 1
     record = {
         "groups": len(plan.groups),
         "events": events,
@@ -156,11 +169,11 @@ def main(argv: list[str] | None = None) -> int:
 
     if not identical:
         print(
-            "FAIL: reports differ across worker counts "
-            "(shard-count invariance broken!)"
+            "FAIL: reports (untraced or traced) differ across worker "
+            "counts (shard-count invariance broken!)"
         )
         return 1
-    print("determinism: reports byte-identical at --shards 1/2/4")
+    print("determinism: reports byte-identical at --shards 1/2/4, traced too")
 
     if args.check:
         if record["core_starved"]:

@@ -26,8 +26,6 @@ from repro.scaling.coordinator import ScalingCoordinator
 from repro.scaling.warm_cache import HostParamCache
 from repro.workloads.requests import Request
 
-_replica_ids = itertools.count()
-
 
 class ReplicaFactory:
     """Creates and tears down pipeline replicas for one serving system."""
@@ -75,6 +73,9 @@ class ReplicaFactory:
         self.batch_aging: float | None = None
         self.deployed = 0
         self.released = 0
+        # Per-factory, not process-global: replica names (which traced
+        # reports carry) must not depend on what ran earlier in the process.
+        self._replica_ids = itertools.count()
         # Every replica this factory ever created, in deployment order.
         # The registry is what lets shutdown, failure injection and the
         # invariant auditor reach replicas that never activated (still
@@ -128,7 +129,7 @@ class ReplicaFactory:
             on_active=self._on_replica_active,
             on_released=self._teardown,
             interference=self.interference,
-            name=f"{model}/r{next(_replica_ids)}",
+            name=f"{model}/r{next(self._replica_ids)}",
         )
         if self.batch_priority_of is not None:
             # Class-priority batch formation from the first request on.

@@ -20,10 +20,8 @@ from __future__ import annotations
 import hashlib
 import importlib
 import json
-import multiprocessing
 import os
 import pickle
-import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -284,7 +282,8 @@ class ExperimentRunner:
         """Fan an arbitrary pure function over items on this runner's pool.
 
         Generic counterpart of :meth:`run_tasks` for work that is not a
-        figure cell (e.g. chaos-audit cases): order-stable, no caching.
+        figure cell (chaos-audit cases, shard groups): order-stable, no
+        caching.
         ``fn`` and every item must be picklable when ``jobs > 1``.
         """
         items = list(items)
@@ -364,123 +363,3 @@ def make_runner(
     if runner is not None:
         return runner
     return ExperimentRunner(jobs=jobs, use_cache=use_cache)
-
-
-# ----------------------------------------------------------------------
-# Persistent stateful workers (sharded simulation hosts)
-# ----------------------------------------------------------------------
-class WorkerError(RuntimeError):
-    """An exception raised inside a persistent worker, re-raised here."""
-
-
-def _worker_main(conn, factory: Callable, args: tuple) -> None:
-    """Worker body: build one object, then serve method calls over the pipe."""
-    try:
-        obj = factory(*args)
-        conn.send(("ok", None))
-    except BaseException as exc:  # noqa: BLE001 - marshalled to the parent
-        conn.send(("error", f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"))
-        conn.close()
-        return
-    while True:
-        try:
-            request = conn.recv()
-        except EOFError:
-            return  # parent went away: exit quietly
-        if request is None:
-            conn.close()
-            return
-        method, call_args = request
-        try:
-            conn.send(("ok", getattr(obj, method)(*call_args)))
-        except BaseException as exc:  # noqa: BLE001 - marshalled to the parent
-            conn.send(
-                ("error", f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}")
-            )
-
-
-class PersistentWorkerPool:
-    """One long-lived process per entry, each hosting a *stateful* object.
-
-    ``ProcessPoolExecutor.map`` fans out pure functions; sharded
-    simulation needs the opposite shape — K live simulators that keep
-    their heaps between synchronization windows.  Each worker builds its
-    object from ``factory(*args)`` once, then serves ``(method, args)``
-    calls over a private pipe.  ``call_all`` writes every request before
-    reading any reply, so workers genuinely run concurrently.
-
-    The fork start method is preferred: factories then capture their
-    closure state for free (no pickling of the factory itself) and
-    workers inherit warm module caches.
-    """
-
-    def __init__(self, factories: list[tuple[Callable, tuple]]):
-        if not factories:
-            raise ValueError("need at least one worker factory")
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else None
-        )
-        self._conns = []
-        self._procs = []
-        try:
-            for factory, args in factories:
-                parent, child = ctx.Pipe()
-                proc = ctx.Process(
-                    target=_worker_main, args=(child, factory, args), daemon=True
-                )
-                proc.start()
-                child.close()
-                self._conns.append(parent)
-                self._procs.append(proc)
-            for conn in self._conns:
-                self._recv(conn)  # construction ack (or error)
-        except BaseException:
-            self.close()
-            raise
-
-    def __len__(self) -> int:
-        return len(self._procs)
-
-    def _recv(self, conn) -> Any:
-        try:
-            status, value = conn.recv()
-        except EOFError as exc:
-            raise WorkerError("worker died without replying") from exc
-        if status == "error":
-            raise WorkerError(value)
-        return value
-
-    def call_all(self, method: str, args_list: list[tuple]) -> list:
-        """Invoke ``method(*args)`` on every worker's object, in parallel."""
-        if len(args_list) != len(self._conns):
-            raise ValueError(
-                f"expected {len(self._conns)} argument tuples, "
-                f"got {len(args_list)}"
-            )
-        for conn, args in zip(self._conns, args_list):
-            conn.send((method, args))
-        return [self._recv(conn) for conn in self._conns]
-
-    def close(self) -> None:
-        """Shut every worker down (idempotent)."""
-        for conn in self._conns:
-            try:
-                conn.send(None)
-            except (OSError, ValueError):
-                pass
-        for proc in self._procs:
-            proc.join(timeout=5)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=5)
-        for conn in self._conns:
-            conn.close()
-        self._conns = []
-        self._procs = []
-
-    def __enter__(self) -> "PersistentWorkerPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

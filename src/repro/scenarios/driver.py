@@ -256,12 +256,12 @@ class ScenarioDriver:
     """Runs one compiled scenario end-to-end.
 
     The run is phased — :meth:`start` builds the world, :meth:`advance`
-    simulates up to a time, :meth:`finish` quiesces and reports — so a
-    shard coordinator can window-step many drivers in lock-step.
-    :meth:`run` chains the three for the classic monolithic path.
+    simulates up to a time, :meth:`finish` quiesces and reports — and
+    :meth:`run` chains the three.
 
     ``server_indices`` (shard execution) restricts the driver to the
-    sub-cluster owning those servers of the spec's named topology.
+    sub-cluster owning those servers of the spec's named topology; each
+    shard group runs one such driver to quiesce.
     """
 
     def __init__(self, case: ScenarioCase, *, server_indices=None):
@@ -453,7 +453,7 @@ class ScenarioDriver:
         self._schedule_events(epoch)
 
     # ------------------------------------------------------------------
-    # Phase 2: simulate (windowed under sharding, one shot monolithically)
+    # Phase 2: simulate up to a time
     # ------------------------------------------------------------------
     def advance(self, until: float) -> None:
         """Simulate up to ``until``, crossing setup boundaries in order."""

@@ -6,21 +6,19 @@ through :func:`run_sharded_case`: the fleet is partitioned into shard
 spec's named topology sized to its traffic and model footprint — and
 every group runs its own :class:`~repro.scenarios.driver.ScenarioDriver`
 (own :class:`~repro.simulation.engine.Simulator`, own seeded streams, own
-serving system) under a
-:class:`~repro.simulation.sharding.ShardCoordinator`.
+serving system) as one independent job (:func:`run_group`) on an
+:class:`~repro.experiments.runner.ExperimentRunner` pool of N workers.
 
 Two properties make the decomposition sound:
 
 * **The partition is a pure function of the spec**, never of the worker
   count: ``--shards 2`` and ``--shards 4`` produce byte-identical
-  reports (the worker count only sets how many processes host the
+  reports (the worker count only sets how many processes run the
   groups).
 * **Tenant affinity keeps every deploy's replicas co-sharded**: a
   tenant's routers, replicas, migrations and DataMover transfers all
-  live inside one shard, so scenario shards exchange no cross-shard
-  messages and the coordinator collapses the run into one conservative
-  window.  (The generic message protocol — finite lookahead, windowed
-  delivery — is exercised directly by the simulation-layer tests.)
+  live inside one group, so groups never exchange messages and each
+  runs from start to quiesce on its own.
 
 Systems that cannot partition **fall back to a single shard** with the
 reason recorded on the report:
@@ -56,7 +54,6 @@ from repro.scenarios.driver import (
     TenantQoS,
 )
 from repro.scenarios.spec import ScenarioSpec
-from repro.simulation.sharding import ShardCoordinator, ShardProgram
 from repro.validation.auditor import Violation
 
 # A group must own at least this many servers to be worth isolating
@@ -270,7 +267,7 @@ def _fallback(spec: ScenarioSpec, seed: int, reason: str) -> ShardPlan:
 
 
 # ----------------------------------------------------------------------
-# The shard program (one driver per group)
+# One shard group's run (one driver per group)
 # ----------------------------------------------------------------------
 @dataclass
 class ShardSlice:
@@ -302,40 +299,20 @@ class ShardSlice:
     resident: int = 0
 
 
-class ScenarioShardProgram(ShardProgram):
-    """Wraps one phased :class:`ScenarioDriver` as a coordinator shard.
+def run_group(job: tuple[ShardGroup, str, bool]) -> ShardSlice:
+    """Run one shard group to quiesce: the runner-side body of a shard.
 
-    Tenant-affine scenario shards exchange no messages, so the lookahead
-    promise is unbounded and the coordinator runs a single window; the
-    program still advances through the driver's internal boundaries
-    (settle -> epoch hooks) exactly as the monolithic path does.
+    Module-level so the runner's process pool can pickle it; the group's
+    driver lives and dies inside the worker, and only the picklable
+    :class:`ShardSlice` crosses back.
     """
-
-    lookahead = math.inf
-
-    def __init__(self, group: ShardGroup, system: str, trace: bool = False):
-        super().__init__()
-        self.group = group
-        self.driver = ScenarioDriver(
-            ScenarioCase(group.spec, system, group.seed, trace=trace),
-            server_indices=group.server_indices,
-        )
-
-    def setup(self) -> None:
-        self.driver.start()
-
-    def advance(self, until: float) -> None:
-        self.driver.advance(until)
-
-    def next_event_time(self) -> float | None:
-        return self.driver.sim.peek()
-
-    def events_processed(self) -> int:
-        return self.driver.sim.events_processed
-
-    def finish(self) -> ShardSlice:
-        report = self.driver.finish()
-        return _build_slice(self.group, self.driver, report)
+    group, system, trace = job
+    driver = ScenarioDriver(
+        ScenarioCase(group.spec, system, group.seed, trace=trace),
+        server_indices=group.server_indices,
+    )
+    report = driver.run()
+    return _build_slice(group, driver, report)
 
 
 def _build_slice(
@@ -419,15 +396,16 @@ def run_sharded_case(case: ScenarioCase) -> ScenarioReport:
         report.shards = 1
         report.shard_fallback = plan.fallback
         return report
-    coordinator = ShardCoordinator(
-        [
-            (ScenarioShardProgram, (group, case.system, case.trace))
-            for group in plan.groups
-        ],
-        horizon=case.spec.horizon,
-        workers=max(case.shards, 1),
-    )
-    slices = coordinator.run()
+    # Imported here so monolithic runs never load the process-pool stack.
+    from repro.experiments.runner import ExperimentRunner
+
+    runner = ExperimentRunner(jobs=max(case.shards, 1), use_cache=False)
+    try:
+        slices = runner.map(
+            run_group, [(group, case.system, case.trace) for group in plan.groups]
+        )
+    finally:
+        runner.close()
     return merge_shard_reports(case, plan, slices)
 
 

@@ -10,18 +10,19 @@ lazy trace replay) rides the same PR and is covered here too.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 import repro.scenarios.sharding as sharding
-from repro.scenarios.driver import ScenarioCase, run_scenario_case
+from repro.scenarios.driver import ScenarioCase, ScenarioDriver, run_scenario_case
 from repro.scenarios.library import SCENARIOS
 from repro.scenarios.sharding import (
     MIN_SERVERS_PER_GROUP,
-    ScenarioShardProgram,
     partition_scenario,
+    run_group,
 )
 from repro.scenarios.spec import (
     ArrivalSegment,
@@ -42,6 +43,12 @@ def canonical(report) -> str:
     return json.dumps(
         dataclasses.asdict(report), sort_keys=True, default=repr
     )
+
+
+def digest(report) -> str:
+    """sha256 of :func:`canonical` (a failing comparison stays cheap to
+    report; pytest's diff of two multi-megabyte traced blobs is not)."""
+    return hashlib.sha256(canonical(report).encode()).hexdigest()
 
 
 def two_tenant_spec(**overrides) -> ScenarioSpec:
@@ -199,19 +206,39 @@ class TestPartitioner:
 # ----------------------------------------------------------------------
 # End-to-end determinism + merged-report sanity
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("name", DETERMINISM_SCENARIOS)
-def test_shard_count_invariance(name):
-    """The acceptance gate: byte-identical reports at --shards 1/2/4."""
+@pytest.mark.parametrize(
+    "name,trace",
+    [pytest.param(name, False, id=name) for name in DETERMINISM_SCENARIOS]
+    + [pytest.param("paper-multi-burst", True, id="paper-multi-burst-traced")],
+)
+def test_shard_count_invariance(name, trace):
+    """The acceptance gate: byte-identical reports at --shards 1/2/4.
+
+    The traced leg also pins replica names (carried by every span): they
+    must not depend on which worker ran a group or what ran before it.
+    """
     spec = SCENARIOS[name].quick()
     blobs = {}
     report = None
     for workers in (1, 2, 4):
-        report = run_scenario_case(ScenarioCase(spec, "FlexPipe", 0, workers))
-        blobs[workers] = canonical(report)
+        report = run_scenario_case(
+            ScenarioCase(spec, "FlexPipe", 0, workers, trace=trace)
+        )
+        blobs[workers] = digest(report)
     assert blobs[1] == blobs[2] == blobs[4]
     assert report.ok, [v.detail for v in report.violations]
     assert report.shards >= 1
     assert report.engine_events > 0
+    assert bool(report.traces) == trace
+
+
+def test_traced_case_repeats_identically_in_one_process():
+    """Replica names restart per serving system, so a traced report does
+    not depend on what ran earlier in the same process."""
+    spec = SCENARIOS["trace-replay"].quick()
+    case = ScenarioCase(spec, "FlexPipe", 0, trace=True)
+    first = digest(run_scenario_case(case))
+    assert first == digest(run_scenario_case(case))
 
 
 def test_merged_report_sanity():
@@ -274,13 +301,31 @@ def test_shard_program_runs_one_group():
     spec = SCENARIOS["trace-replay"].quick()
     plan = partition_scenario(spec, seed=0)
     assert plan.sharded
-    program = ScenarioShardProgram(plan.groups[0], "FlexPipe")
-    program.setup()
-    program.advance(spec.horizon)
-    piece = program.finish()
+    piece = run_group((plan.groups[0], "FlexPipe", False))
+    assert piece.index == 0
+    assert piece.models == plan.groups[0].models
     assert piece.report.ok
-    assert piece.engine_events == program.events_processed()
+    assert piece.engine_events > 0
     assert piece.report.completed == len(piece.latencies)
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_group_crash_becomes_a_harness_crash_finding(monkeypatch, workers):
+    """A crash inside a shard group surfaces on the case report, whether
+    the group ran in-process or in a pool worker (forked after the patch)."""
+    run = ScenarioDriver.run
+
+    def crash_in_groups(driver):
+        if driver._server_indices is not None:
+            raise RuntimeError("boom in a shard group")
+        return run(driver)
+
+    monkeypatch.setattr(ScenarioDriver, "run", crash_in_groups)
+    spec = SCENARIOS["paper-multi-burst"].quick()
+    report = run_scenario_case(ScenarioCase(spec, "FlexPipe", 0, workers))
+    first = report.violations[0]
+    assert first.invariant == "harness-crash"
+    assert "RuntimeError: boom in a shard group" in first.detail
 
 
 # ----------------------------------------------------------------------
