@@ -24,9 +24,10 @@ from repro import (
 )
 from repro.cluster.fragmentation import FragmentationModel
 from repro.metrics.ascii_plot import sparkline
+from repro.workloads.arrivals import ReplayArrivals
 from repro.workloads.azure import (
     AzureSynthConfig,
-    TraceReplayArrivals,
+    counts_to_timestamps,
     multi_window_cv,
     synthesize_azure_like,
 )
@@ -64,7 +65,7 @@ def main() -> None:
     print(f"  spread: {spread:.1f}x across windows")
     print("  rate  : " + sparkline(top1.rate_series().tolist(), width=72))
 
-    # 3. Replay the top app's first minutes through FlexPipe at 12 req/s.
+    # 3. Replay the top app's first minutes through FlexPipe at 6 req/s.
     sim = Simulator()
     streams = RandomStreams(seed=11)
     cluster = make_paper_cluster(sim)
@@ -83,8 +84,8 @@ def main() -> None:
     system.start()
     sim.run(until=120.0)  # initial loads
 
-    arrivals = TraceReplayArrivals(
-        top1, streams.stream("replay"), target_mean_rate=6.0
+    arrivals = ReplayArrivals(
+        counts_to_timestamps(top1.rescaled(6.0), streams.stream("replay"))
     )
     sampler = MixedCorpusSampler(
         LLAMA2_7B.name,
@@ -99,7 +100,7 @@ def main() -> None:
     # 4. Report.
     summary = system.summarize(REPLAY_SECONDS + 60.0)
     print(f"\n--- replayed {summary.offered} requests from {top1.app} ---")
-    print(f"inter-arrival CV of replayed stream: {arrivals.cv():.2f}")
+    print(f"inter-arrival CV of replayed stream: {arrivals.cv:.2f}")
     print(f"completed    : {summary.completed}/{summary.offered}")
     print(f"goodput      : {summary.goodput_rate:.1%} within 15s SLO")
     print(f"mean latency : {summary.mean_latency:.2f}s")

@@ -2,12 +2,11 @@
 
 Every bench prints its table; the CLI additionally renders the *shape* of
 each figure as ASCII so the reproduction can be eyeballed without a
-plotting stack (the evaluation environment has no display).  Three
-renderers cover the paper's figure types:
+plotting stack (the evaluation environment has no display).  Two
+renderers cover the figure types the CLI draws:
 
 * :func:`sparkline` — one-line series (Fig. 9 timelines, Fig. 1 CV);
-* :func:`bar_chart` — grouped bars (Fig. 8 latency breakdown, Fig. 11);
-* :func:`histogram` — distribution shape (Fig. 4b, Fig. 13b).
+* :func:`bar_chart` — horizontal bars (Fig. 8 latency breakdown, Fig. 11).
 """
 
 from __future__ import annotations
@@ -76,61 +75,4 @@ def bar_chart(
         n = 0 if vmax == 0 else int(round(value / vmax * width))
         bar = _BAR_CHAR * max(n, 0)
         lines.append(f"{str(label):<{label_w}} | {bar} {value:.3g}{unit}")
-    return "\n".join(lines)
-
-
-def grouped_bar_chart(
-    groups: list[str],
-    series: dict[str, list[float]],
-    *,
-    width: int = 30,
-    unit: str = "",
-    title: str | None = None,
-) -> str:
-    """Several series per group (Fig. 8's stacked system comparison).
-
-    Bars are scaled against the global maximum so groups are comparable.
-    """
-    for name, values in series.items():
-        if len(values) != len(groups):
-            raise ValueError(
-                f"series {name!r} has {len(values)} values for {len(groups)} groups"
-            )
-    vmax = max((max(v) for v in series.values() if v), default=0.0)
-    name_w = max((len(n) for n in series), default=0)
-    lines = []
-    if title:
-        lines.append(title)
-    for gi, group in enumerate(groups):
-        lines.append(f"{group}:")
-        for name, values in series.items():
-            v = values[gi]
-            n = 0 if vmax == 0 else int(round(v / vmax * width))
-            lines.append(f"  {name:<{name_w}} | {_BAR_CHAR * n} {v:.3g}{unit}")
-    return "\n".join(lines)
-
-
-def histogram(
-    values: list[float],
-    *,
-    bins: int = 12,
-    width: int = 40,
-    title: str | None = None,
-) -> str:
-    """Vertical-label histogram of a latency (or any scalar) distribution."""
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
-    data = np.asarray(values, dtype=float)
-    data = data[np.isfinite(data)]
-    lines = []
-    if title:
-        lines.append(title)
-    if data.size == 0:
-        lines.append("(no data)")
-        return "\n".join(lines)
-    counts, edges = np.histogram(data, bins=bins)
-    cmax = counts.max()
-    for count, lo, hi in zip(counts, edges[:-1], edges[1:]):
-        n = 0 if cmax == 0 else int(round(count / cmax * width))
-        lines.append(f"[{lo:9.3g}, {hi:9.3g}) | {_BAR_CHAR * n} {count}")
     return "\n".join(lines)

@@ -52,7 +52,3 @@ def stable_hash(name: str) -> int:
         value ^= byte
         value = (value * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     return value & 0x7FFFFFFFFFFFFFFF
-
-
-# Backwards-compatible alias (pre-PR-3 private name).
-_stable_hash = stable_hash

@@ -19,12 +19,10 @@ from repro.workloads.cv import (
     SlidingWindowCV,
 )
 from repro.workloads.traces import DiurnalTrace
-from repro.workloads.slo import SLO
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.azure import (
     FunctionTrace,
     TraceBundle,
-    TraceReplayArrivals,
     synthesize_azure_like,
 )
 from repro.workloads.azure2019 import (
@@ -58,11 +56,9 @@ __all__ = [
     "count_cv",
     "SlidingWindowCV",
     "DiurnalTrace",
-    "SLO",
     "WorkloadGenerator",
     "FunctionTrace",
     "TraceBundle",
-    "TraceReplayArrivals",
     "synthesize_azure_like",
     "Azure2019Source",
     "Azure2019Window",

@@ -15,22 +15,17 @@ is public, so this module provides:
   published structure (Zipf app popularity, diurnal + weekly envelopes,
   bursty minutes) so every experiment has a drop-in substitute;
 * :func:`counts_to_timestamps` — thinning binned counts into request
-  timestamps for replay through the simulator;
-* :class:`TraceReplayArrivals` — an :class:`~repro.workloads.arrivals.\
-ArrivalProcess` that replays a trace, composable with every driver that
-  accepts synthetic arrivals.
+  timestamps, which :class:`~repro.workloads.arrivals.ReplayArrivals`
+  replays through the simulator.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 import pathlib
 from dataclasses import dataclass
 
 import numpy as np
-
-from repro.workloads.arrivals import ArrivalProcess
 
 #: Bin width of the real Azure Functions dataset.
 AZURE_BIN_SECONDS = 60.0
@@ -387,54 +382,6 @@ def counts_to_timestamps(
     stamps = np.concatenate(spans)
     stamps.sort()
     return stamps
-
-
-class TraceReplayArrivals(ArrivalProcess):
-    """Replays a (possibly rescaled) trace as an arrival process.
-
-    After the trace is exhausted :meth:`next_interarrival` returns
-    ``math.inf`` so drivers naturally stop admitting new work.
-    """
-
-    def __init__(
-        self,
-        trace: FunctionTrace,
-        rng: np.random.Generator,
-        *,
-        target_mean_rate: float | None = None,
-        placement: str = "uniform",
-    ):
-        if target_mean_rate is not None:
-            trace = trace.rescaled(target_mean_rate)
-        rate = max(trace.mean_rate, 1e-12)
-        super().__init__(rate, rng)
-        self.trace = trace
-        self._stamps = counts_to_timestamps(trace, rng, placement=placement)
-        self._index = 0
-        self._last = 0.0
-
-    def next_interarrival(self) -> float:
-        if self._index >= self._stamps.shape[0]:
-            return math.inf
-        stamp = float(self._stamps[self._index])
-        self._index += 1
-        gap = stamp - self._last
-        self._last = stamp
-        return max(gap, 0.0)
-
-    def cv(self) -> float:
-        """Empirical inter-arrival CV of the replayed timestamps."""
-        if self._stamps.shape[0] < 3:
-            return 0.0
-        gaps = np.diff(self._stamps)
-        mean = gaps.mean()
-        if mean <= 0:
-            return 0.0
-        return float(gaps.std() / mean)
-
-    @property
-    def remaining(self) -> int:
-        return int(self._stamps.shape[0] - self._index)
 
 
 def fig1_report(

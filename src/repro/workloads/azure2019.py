@@ -53,7 +53,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import pathlib
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,8 +65,6 @@ BIN_SECONDS = 60.0
 INVOCATIONS_PATTERN = "invocations_per_function_md.anon.d{day:02d}.csv"
 DURATIONS_PATTERN = "function_durations_percentiles.anon.d{day:02d}.csv"
 MEMORY_PATTERN = "app_memory_percentiles.anon.d{day:02d}.csv"
-_DAY_RE = re.compile(r"\.d(\d\d)\.csv$")
-
 INVOCATION_HEADER = ["HashOwner", "HashApp", "HashFunction", "Trigger"]
 
 

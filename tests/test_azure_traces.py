@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.workloads.arrivals import ReplayArrivals
 from repro.workloads.azure import (
     AzureSynthConfig,
     FunctionTrace,
     TraceBundle,
-    TraceReplayArrivals,
     binned_count_cv,
     counts_to_timestamps,
     fig1_report,
@@ -234,38 +234,38 @@ class TestReplay:
 
     def test_replay_arrivals_reproduce_timestamps(self):
         t = make_trace([2, 2])
-        proc = TraceReplayArrivals(t, np.random.default_rng(5))
+        expected = counts_to_timestamps(t, np.random.default_rng(5))
+        proc = ReplayArrivals(counts_to_timestamps(t, np.random.default_rng(5)))
         stamps = []
         now = 0.0
         for _ in range(4):
             gap = proc.next_interarrival()
             now += gap
             stamps.append(now)
-        assert proc.remaining == 0
         assert proc.next_interarrival() == math.inf
-        assert stamps == pytest.approx(sorted(stamps))
+        assert stamps == pytest.approx(expected.tolist())
         assert all(s <= 120.0 for s in stamps)
 
     def test_replay_rescales_on_request(self):
         t = make_trace([10, 10, 10, 10])
-        proc = TraceReplayArrivals(
-            t, np.random.default_rng(0), target_mean_rate=2 * t.mean_rate
+        proc = ReplayArrivals(
+            counts_to_timestamps(t.rescaled(2 * t.mean_rate), np.random.default_rng(0))
         )
-        assert proc.trace.total_invocations == pytest.approx(80, abs=2)
+        assert len(proc.timestamps) == pytest.approx(80, abs=2)
 
     def test_replay_cv_positive_for_bursty_trace(self):
         counts = np.zeros(30, dtype=np.int64)
         counts[::10] = 50
-        proc = TraceReplayArrivals(
-            make_trace(counts.tolist()), np.random.default_rng(0)
+        proc = ReplayArrivals(
+            counts_to_timestamps(make_trace(counts.tolist()), np.random.default_rng(0))
         )
-        assert proc.cv() > 1.0
+        assert proc.cv > 1.0
 
     @given(st.lists(st.integers(min_value=0, max_value=20), min_size=1, max_size=30))
     @settings(max_examples=40, deadline=None)
     def test_replay_emits_exactly_total_invocations(self, counts):
         t = make_trace(counts)
-        proc = TraceReplayArrivals(t, np.random.default_rng(1))
+        proc = ReplayArrivals(counts_to_timestamps(t, np.random.default_rng(1)))
         n = 0
         while proc.next_interarrival() != math.inf:
             n += 1

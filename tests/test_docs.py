@@ -1,14 +1,18 @@
-"""Documentation gates: link integrity, command drift, cli.md drift.
+"""Drift gates: link integrity, command drift, cli.md drift, dead modules.
 
 Docs rot in three ways: relative links break when files move, quoted
 ``repro ...`` examples drift when flags are renamed, and the generated
 CLI reference goes stale when the argparse tree changes.  Each gets a
 mechanical check here (no network — external URLs are not fetched).
+The library rots a fourth way: a module whose only callers are its own
+tests.  The reachability gate at the end catches that.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
+import importlib
 import pathlib
 import re
 import shlex
@@ -137,3 +141,74 @@ def test_cli_reference_covers_every_subcommand():
         if isinstance(action, argparse._SubParsersAction):
             for name in action.choices:
                 assert f"## `repro {name}`" in rendered
+
+
+# ----------------------------------------------------------------------
+# Every library module has a caller outside tests/
+# ----------------------------------------------------------------------
+SRC = REPO / "src"
+CALLER_DIRS = ("src", "benchmarks", "perfbench", "examples")
+
+
+def _module_name(path: pathlib.Path) -> str:
+    parts = path.relative_to(SRC).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _is_module(name: str) -> bool:
+    base = SRC.joinpath(*name.split("."))
+    return base.with_suffix(".py").exists() or (base / "__init__.py").exists()
+
+
+def _imported_modules(path: pathlib.Path) -> set[str]:
+    """The ``repro`` modules a file imports.
+
+    A name imported from a package counts for the submodule that defines
+    it, so ``from repro.queueing import erlang_c`` reaches
+    ``repro.queueing.erlang``.
+    """
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module is not None:
+            base = node.module
+            if base != "repro" and not base.startswith("repro."):
+                continue
+            found.add(base)
+            for alias in node.names:
+                name = f"{base}.{alias.name}"
+                if _is_module(name):
+                    found.add(name)
+                elif alias.name != "*":
+                    defined = getattr(importlib.import_module(base), alias.name)
+                    found.add(getattr(defined, "__module__", base))
+    return found
+
+
+def _callers() -> list[pathlib.Path]:
+    """Files outside tests/ that can call library code.
+
+    A package ``__init__`` re-export is not a caller.
+    """
+    return [
+        path
+        for top in CALLER_DIRS
+        for path in sorted((REPO / top).rglob("*.py"))
+        if path.name != "__init__.py"
+        and "tests" not in path.relative_to(REPO).parts
+    ]
+
+
+def test_every_library_module_is_imported_outside_tests():
+    reached = set().union(*(_imported_modules(path) for path in _callers()))
+    modules = {
+        _module_name(path)
+        for path in (SRC / "repro").rglob("*.py")
+        if path.name not in ("__init__.py", "__main__.py")
+    }
+    dead = sorted(modules - reached)
+    assert not dead, (
+        "no file outside tests/ imports these modules; delete them, or "
+        "move test-only helpers into tests/: " + ", ".join(dead)
+    )

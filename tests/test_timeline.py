@@ -1,176 +1,12 @@
-"""Tests for time-series recording/export and ASCII figure rendering."""
+"""Tests for the ASCII figure renderers."""
 
 from __future__ import annotations
 
 import math
-import pathlib
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.metrics.ascii_plot import (
-    bar_chart,
-    grouped_bar_chart,
-    histogram,
-    sparkline,
-)
-from repro.metrics.timeline import Series, Timeline
-
-
-class TestSeries:
-    def test_record_and_stats(self):
-        s = Series("latency")
-        for t, v in [(0.0, 1.0), (1.0, 3.0), (2.0, 5.0)]:
-            s.record(t, v)
-        assert len(s) == 3
-        assert s.mean() == pytest.approx(3.0)
-        assert s.percentile(50) == pytest.approx(3.0)
-
-    def test_out_of_order_rejected(self):
-        s = Series("x")
-        s.record(5.0, 1.0)
-        with pytest.raises(ValueError, match="before last"):
-            s.record(4.0, 1.0)
-
-    def test_empty_stats_raise(self):
-        with pytest.raises(ValueError, match="empty"):
-            Series("x").mean()
-        with pytest.raises(ValueError, match="empty"):
-            Series("x").percentile(99)
-
-    def test_window_mean_aggregates(self):
-        s = Series("rt")
-        samples = [(1.0, 2.0), (5.0, 4.0), (12.0, 10.0), (14.0, 20.0)]
-        for t, v in samples:
-            s.record(t, v)
-        w = s.window_mean(10.0)
-        assert len(w) == 2
-        assert w.values[0] == pytest.approx(3.0)  # (2+4)/2 in [0,10)
-        assert w.values[1] == pytest.approx(15.0)  # (10+20)/2 in [10,20)
-        assert w.times == [5.0, 15.0]
-
-    def test_window_mean_skips_empty_windows(self):
-        s = Series("rt")
-        s.record(1.0, 1.0)
-        s.record(25.0, 3.0)
-        w = s.window_mean(10.0)
-        assert w.times == [5.0, 25.0]
-
-    def test_window_mean_empty_series(self):
-        assert len(Series("x").window_mean(10.0)) == 0
-
-    def test_window_mean_validates(self):
-        with pytest.raises(ValueError, match="window"):
-            Series("x").window_mean(0.0)
-
-    def test_window_mean_with_duration_bins_tail(self):
-        s = Series("rt")
-        s.record(95.0, 7.0)
-        w = s.window_mean(10.0, duration=100.0)
-        assert w.times[-1] == pytest.approx(95.0)
-
-
-class TestTimeline:
-    def test_record_creates_series(self):
-        tl = Timeline()
-        tl.record("a", 0.0, 1.0)
-        tl.record("b", 0.0, 2.0)
-        assert tl.names() == ["a", "b"]
-        assert "a" in tl
-        assert "c" not in tl
-
-    def test_csv_roundtrip(self, tmp_path):
-        tl = Timeline()
-        for i in range(10):
-            tl.record("qps", float(i), i * 1.5)
-            tl.record("util", float(i), math.sin(i))
-        path = tmp_path / "timeline.csv"
-        tl.to_csv(path)
-        back = Timeline.from_csv(path)
-        assert back.names() == tl.names()
-        assert back.series("util").values == pytest.approx(tl.series("util").values)
-        assert back.series("qps").times == tl.series("qps").times
-
-    def test_csv_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "x.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(ValueError, match="Timeline CSV"):
-            Timeline.from_csv(path)
-
-    def test_json_roundtrip(self, tmp_path):
-        tl = Timeline()
-        tl.record("x", 1.0, 2.0)
-        tl.record("x", 2.0, 4.0)
-        path = tmp_path / "timeline.json"
-        tl.to_json(path)
-        back = Timeline.from_json(path)
-        assert back.series("x").values == [2.0, 4.0]
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(min_value=0, max_value=1e6),
-                st.floats(allow_nan=False, allow_infinity=False, width=32),
-            ),
-            max_size=40,
-        )
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_csv_roundtrip_property(self, samples):
-        import tempfile
-
-        tl = Timeline()
-        for t, v in sorted(samples, key=lambda p: p[0]):
-            tl.record("s", t, float(v))
-        with tempfile.TemporaryDirectory() as tmp:
-            path = pathlib.Path(tmp) / "t.csv"
-            tl.to_csv(path)
-            back = Timeline.from_csv(path)
-        if "s" in tl:
-            assert back.series("s").times == tl.series("s").times
-            assert back.series("s").values == tl.series("s").values
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(min_value=0, max_value=1e6),
-                st.floats(allow_nan=False, allow_infinity=False),
-            ),
-            max_size=40,
-        )
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_numpy_scalar_roundtrip_property(self, samples):
-        """Samples recorded as numpy scalars (the simulator's native
-        types) must survive CSV and JSON round-trips bit-exactly —
-        regression: ``repr(np.float64(...))`` broke ``from_csv``."""
-        import tempfile
-
-        import numpy as np
-
-        tl = Timeline()
-        for t, v in sorted(samples, key=lambda p: p[0]):
-            tl.record("s", np.float64(t), np.float64(v))
-        with tempfile.TemporaryDirectory() as tmp:
-            csv_path = pathlib.Path(tmp) / "t.csv"
-            json_path = pathlib.Path(tmp) / "t.json"
-            tl.to_csv(csv_path)
-            tl.to_json(json_path)
-            csv_back = Timeline.from_csv(csv_path)
-            json_back = Timeline.from_json(json_path)
-        if "s" in tl:
-            for back in (csv_back, json_back):
-                assert back.series("s").times == tl.series("s").times
-                assert back.series("s").values == tl.series("s").values
-
-    def test_record_coerces_to_builtin_float(self):
-        import numpy as np
-
-        s = Series("x")
-        s.record(np.float64(1.5), np.float32(2.5))
-        assert type(s.times[0]) is float
-        assert type(s.values[0]) is float
+from repro.metrics.ascii_plot import bar_chart, sparkline
 
 
 class TestSparkline:
@@ -215,36 +51,3 @@ class TestBarCharts:
 
     def test_bar_chart_empty(self):
         assert bar_chart([], [], title="t") == "t"
-
-    def test_grouped_chart_global_scale(self):
-        out = grouped_bar_chart(
-            ["cv1", "cv4"],
-            {"FlexPipe": [1.0, 2.0], "Tetris": [4.0, 4.0]},
-            width=8,
-        )
-        lines = [l for l in out.splitlines() if "|" in l]
-        flex_cv1 = next(l for l in lines if "FlexPipe" in l)
-        assert flex_cv1.count("█") == 2  # 1.0 / 4.0 * 8
-
-    def test_grouped_chart_validates(self):
-        with pytest.raises(ValueError, match="groups"):
-            grouped_bar_chart(["a"], {"s": [1.0, 2.0]})
-
-
-class TestHistogram:
-    def test_counts_sum_to_samples(self):
-        out = histogram([1, 1, 2, 3, 3, 3], bins=3)
-        counts = [int(line.rsplit(" ", 1)[-1]) for line in out.splitlines()]
-        assert sum(counts) == 6
-
-    def test_empty_data(self):
-        assert "(no data)" in histogram([], title="h")
-
-    def test_filters_non_finite(self):
-        out = histogram([1.0, math.inf, math.nan, 2.0], bins=2)
-        counts = [int(line.rsplit(" ", 1)[-1]) for line in out.splitlines()]
-        assert sum(counts) == 2
-
-    def test_validates_bins(self):
-        with pytest.raises(ValueError, match="bins"):
-            histogram([1.0], bins=0)

@@ -2,21 +2,29 @@
 
 from __future__ import annotations
 
+import importlib
+import inspect
+import math
+import pkgutil
+
 import numpy as np
 import pytest
 
+import repro
 from repro.simulation.engine import Simulator
 from repro.simulation.randomness import RandomStreams
 from repro.workloads.arrivals import (
+    ArrivalProcess,
+    DiurnalArrivals,
     GammaArrivals,
     MMPPArrivals,
     PoissonArrivals,
+    ReplayArrivals,
     make_arrivals,
 )
 from repro.workloads.cv import SlidingWindowCV, count_cv, interarrival_cv
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.requests import LengthDistribution, RequestSampler
-from repro.workloads.slo import SLO
 from repro.workloads.traces import DiurnalTrace, DiurnalTraceConfig
 
 
@@ -78,6 +86,44 @@ class TestArrivalProcesses:
             MMPPArrivals(1.0, rng, burst_factor=0.5)
         with pytest.raises(ValueError):
             MMPPArrivals(1.0, rng, burst_fraction=1.5)
+
+
+# One instance per concrete ArrivalProcess subclass; a new subclass must
+# add itself here before the contract test passes.
+ARRIVAL_EXAMPLES = {
+    PoissonArrivals: lambda rng: PoissonArrivals(5.0, rng),
+    GammaArrivals: lambda rng: GammaArrivals(5.0, 2.0, rng),
+    MMPPArrivals: lambda rng: MMPPArrivals(5.0, rng),
+    DiurnalArrivals: lambda rng: DiurnalArrivals(5.0, rng, period=60.0),
+    ReplayArrivals: lambda rng: ReplayArrivals(iter([0.5, 1.0, 4.0, 4.5, 9.0])),
+}
+
+
+def _concrete_arrival_processes() -> set[type]:
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not info.name.endswith("__main__"):
+            importlib.import_module(info.name)
+    found, stack = set(), [ArrivalProcess]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            stack.append(sub)
+            if not inspect.isabstract(sub):
+                found.add(sub)
+    return found
+
+
+def test_every_arrival_process_reports_cv_as_a_finite_property(rng):
+    classes = _concrete_arrival_processes()
+    for cls in classes:
+        assert isinstance(inspect.getattr_static(cls, "cv"), property), cls
+    missing = sorted(c.__qualname__ for c in classes - ARRIVAL_EXAMPLES.keys())
+    assert not missing, f"add an ARRIVAL_EXAMPLES entry for {missing}"
+    for cls in classes:
+        process = ARRIVAL_EXAMPLES[cls](rng)
+        for _ in range(4):
+            process.next_interarrival()
+        cv = process.cv
+        assert isinstance(cv, float) and math.isfinite(cv) and cv >= 0, (cls, cv)
 
 
 class TestCVEstimators:
@@ -165,18 +211,6 @@ class TestRequestSampler:
         req = RequestSampler("m", rng, slo_latency=10.0).sample(0.0)
         req.completion_time = 2.0
         assert req.slo_met
-
-
-class TestSLO:
-    def test_met_boundary(self):
-        slo = SLO(latency_target=2.0)
-        assert slo.met(2.0)
-        assert not slo.met(2.0001)
-        assert not slo.met(None)
-
-    def test_invalid_target_rejected(self):
-        with pytest.raises(ValueError):
-            SLO(latency_target=0.0)
 
 
 class TestWorkloadGenerator:
